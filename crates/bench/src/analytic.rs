@@ -26,7 +26,6 @@ use cmt_profile::{
     describe_cache, kendall_tau, profile_program, rank_hotspots, top_k_agreement, HotspotEntry,
     HotspotProfile, ProfileOptions, SamplePolicy,
 };
-use cmt_verify::{corpus_seeds, generate};
 
 /// What an analytic accuracy sweep covers.
 #[derive(Clone, Copy, Debug)]
@@ -262,20 +261,6 @@ impl AnalyticReport {
     }
 }
 
-/// Builds the sweep corpus: the first `cfg.seeds` committed
-/// verify-corpus seeds, then (when `cfg.kernels`) the paper kernels.
-pub fn analytic_corpus(cfg: &AnalyticSweepConfig) -> Vec<Program> {
-    let mut programs: Vec<Program> = corpus_seeds()
-        .into_iter()
-        .take(cfg.seeds)
-        .map(generate)
-        .collect();
-    if cfg.kernels {
-        programs.extend(cmt_suite::kernels::paper_kernels());
-    }
-    programs
-}
-
 /// Per-program predictions for every geometry; the primary geometry's
 /// predictions run under `obs`, the others silently (one set of
 /// `analytic.*` remarks/counters per run, not three).
@@ -492,6 +477,7 @@ pub fn analytic_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus;
 
     fn small_cfg() -> AnalyticSweepConfig {
         AnalyticSweepConfig {
@@ -505,7 +491,7 @@ mod tests {
     #[test]
     fn sweep_reports_every_geometry() {
         let cfg = small_cfg();
-        let programs = analytic_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         assert_eq!(programs.len(), 4);
         let mut sink = CollectSink::new();
         let report = analytic_sweep(&programs, &cfg, &mut sink, None).unwrap();
@@ -535,7 +521,7 @@ mod tests {
     #[test]
     fn report_json_round_trips() {
         let cfg = small_cfg();
-        let programs = analytic_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = CollectSink::new();
         let report = analytic_sweep(&programs, &cfg, &mut sink, None).unwrap();
         let text = report.to_json();
@@ -552,7 +538,7 @@ mod tests {
     #[test]
     fn predicted_ranking_uses_profiler_total_order() {
         let cfg = small_cfg();
-        let programs = analytic_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let geoms = analytic_geometries();
         let preds: Vec<Vec<NestPrediction>> = programs
             .iter()

@@ -28,7 +28,7 @@
 //!
 //! Exit codes: `0` ok, `1` gate failure, `2` usage or artifact error.
 
-use cmt_bench::{analytic_corpus, analytic_sweep, AnalyticReport, AnalyticSweepConfig};
+use cmt_bench::{analytic_sweep, corpus, AnalyticReport, AnalyticSweepConfig};
 use cmt_obs::{CollectSink, TraceSession};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -147,7 +147,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let programs = analytic_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     println!(
         "cmt-analytic: {} programs ({} seeds{}) at n={}, 3 geometries",
         programs.len(),

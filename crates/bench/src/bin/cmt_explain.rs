@@ -34,7 +34,7 @@
 //! Exit codes: `0` ok, `1` gate failure, `2` usage or artifact error.
 
 use cmt_bench::ExplainSweepConfig;
-use cmt_bench::{explain_corpus, explain_sweep, render_decision_tree, ExplainReport};
+use cmt_bench::{corpus, explain_sweep, render_decision_tree, ExplainReport};
 use cmt_obs::{CollectSink, TraceSession};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -179,7 +179,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let programs = explain_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     println!(
         "cmt-explain: {} programs ({} seeds{}) at n={}, 2 oracles, 3 geometries",
         programs.len(),

@@ -28,7 +28,7 @@
 //!
 //! Exit codes: `0` ok, `1` gate failure, `2` usage or artifact error.
 
-use cmt_bench::{profile_sweep, sweep_corpus, SweepConfig, SweepResult};
+use cmt_bench::{corpus, profile_sweep, SweepConfig, SweepResult};
 use cmt_obs::json::ObjectWriter;
 use cmt_obs::{CollectSink, TraceSession};
 use cmt_profile::SamplePolicy;
@@ -146,7 +146,7 @@ fn main() -> ExitCode {
     let cfg = args.cfg;
     cmt_resilience::silence_supervised_panics();
 
-    let programs = sweep_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     println!(
         "cmt-profile: {} programs ({} seeds{}) at n={}, policy {}",
         programs.len(),

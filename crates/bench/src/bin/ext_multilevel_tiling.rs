@@ -3,22 +3,15 @@
 //! L1; the inclusive-hierarchy simulator shows each tiling level paying
 //! at its own capacity.
 use cmt_cache::{Hierarchy, HierarchyLatency};
-use cmt_interp::{Machine, TraceSink};
+use cmt_interp::simulate;
 use cmt_ir::program::Program;
 use cmt_locality::tile::tile_loop;
 use cmt_suite::kernels::matmul;
 
-struct Sink<'a>(&'a mut Hierarchy);
-impl TraceSink for Sink<'_> {
-    fn access(&mut self, addr: u64, w: bool) {
-        self.0.access(addr, w);
-    }
-}
-
 fn run(p: &Program, n: i64) -> (f64, f64, u64) {
-    let mut h = Hierarchy::rs6000_with_l2();
-    let mut m = Machine::new(p, &[n]).expect("allocation");
-    m.run(p, &mut Sink(&mut h)).expect("execution");
+    let mut h = [Hierarchy::rs6000_with_l2()];
+    simulate(p, &[n], 0, &mut h, None).expect("execution");
+    let [h] = h;
     (
         h.l1_stats().hit_rate_excluding_cold(),
         h.l2_stats().hit_rate_excluding_cold(),

@@ -1,7 +1,7 @@
 //! Regenerates Figure 2: matrix-multiply loop-order ranking.
 
-use cmt_locality::pass::Pipeline;
-use cmt_obs::{CollectSink, TraceSession, Tracing};
+use cmt_cache::{CacheConfig, ShardedCache};
+use cmt_obs::{TraceSession, TraceTrack};
 use std::process::ExitCode;
 
 /// Pinned shard count for the artifact-producing sharded run, so the
@@ -29,62 +29,32 @@ fn main() -> ExitCode {
     // miss-rate counter series on its own track).
     let mut p = cmt_suite::kernels::matmul("IJK");
     let sim_n = n.min(128);
-    let pipeline = Pipeline::paper_default(4);
-    let mut sink;
-    if cmt_bench::trace_enabled() {
-        let mut session = TraceSession::new();
-        let mut traced = Tracing::new(CollectSink::new(), session.main());
-        let reports = pipeline.run_observed(&mut p, &mut traced);
-        sink = traced.inner;
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut track = session.track("sim");
-        let sim = cmt_bench::simulate_program_observed_traced(&p, sim_n, 10_000, &mut track);
-        session.absorb(track);
-        sim.export_metrics(&mut sink.metrics, "fig2.matmul_opt");
-        // Same run on the set-sharded engine: per-shard slices become
-        // `sim.shard` spans and `shard.*` counters. The shard count is
-        // pinned (not CMT_SHARDS/CMT_JOBS) so the committed baseline
-        // metrics stay host-independent.
-        let mut shard_track = session.track("sim.sharded");
-        let sharded = cmt_bench::simulate_program_sharded_traced(
-            &p,
-            sim_n,
-            SHARDS,
-            &mut sink.metrics,
-            "fig2.matmul_opt",
-            Some(&mut shard_track),
-        );
-        session.absorb(shard_track);
-        assert_eq!(sharded.cache2, sim.sim.cache2, "engines must agree");
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("fig2_matmul", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("fig2_matmul: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        sink = CollectSink::new();
-        let reports = pipeline.run_observed(&mut p, &mut sink);
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let sim = cmt_bench::simulate_program_observed(&p, sim_n, 10_000);
-        sim.export_metrics(&mut sink.metrics, "fig2.matmul_opt");
-        let sharded = cmt_bench::simulate_program_sharded_traced(
-            &p,
-            sim_n,
-            SHARDS,
-            &mut sink.metrics,
-            "fig2.matmul_opt",
-            None,
-        );
-        assert_eq!(sharded.cache2, sim.sim.cache2, "engines must agree");
+    let mut session = cmt_bench::trace_enabled().then(TraceSession::new);
+    let (mut sink, sim) =
+        cmt_bench::observe_figure(&mut p, sim_n, "fig2.matmul_opt", session.as_mut());
+
+    // Same run on the set-sharded engine: per-shard slices become
+    // `sim.shard` spans and `shard.*` counters. The shard count is
+    // pinned (not CMT_SHARDS/CMT_JOBS) so the committed baseline
+    // metrics stay host-independent.
+    let mut sharded = [
+        ShardedCache::with_shards(CacheConfig::rs6000(), SHARDS),
+        ShardedCache::with_shards(CacheConfig::i860(), SHARDS),
+    ];
+    let track = session.as_mut().map(|s| s.track("sim.sharded"));
+    if track.is_some() {
+        sharded.iter_mut().for_each(ShardedCache::enable_flush_log);
     }
-    if let Err(e) = cmt_bench::emit("fig2_matmul", &sink.remarks, &sink.metrics) {
+    let t0 = track.as_ref().map(TraceTrack::start);
+    cmt_interp::simulate(&p, &[sim_n], 0, &mut sharded, None).expect("execution");
+    assert_eq!(sharded[1].stats(), sim.sim.cache2, "engines must agree");
+    sharded[0].export_metrics(&mut sink.metrics, "fig2.matmul_opt.cache1");
+    sharded[1].export_metrics(&mut sink.metrics, "fig2.matmul_opt.cache2");
+    if let (Some(session), Some(mut track), Some(t0)) = (session.as_mut(), track, t0) {
+        cmt_bench::replay_shard_log(&mut track, t0, &mut sharded);
+        session.absorb(track);
+    }
+    if let Err(e) = cmt_bench::emit_traced("fig2_matmul", &sink, session.as_ref()) {
         eprintln!("fig2_matmul: {e}");
         return ExitCode::FAILURE;
     }

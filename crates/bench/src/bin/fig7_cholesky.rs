@@ -1,7 +1,6 @@
 //! Regenerates Figure 7: Cholesky variants.
 
-use cmt_locality::pass::Pipeline;
-use cmt_obs::{CollectSink, TraceSession, Tracing};
+use cmt_obs::TraceSession;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -20,39 +19,10 @@ fn main() -> ExitCode {
     // records a Chrome Trace (pass spans on the main track, the
     // simulation on its own track).
     let mut p = cmt_suite::kernels::cholesky_kij();
-    let sim_n = n.min(160);
-    let pipeline = Pipeline::paper_default(4);
-    let mut sink;
-    if cmt_bench::trace_enabled() {
-        let mut session = TraceSession::new();
-        let mut traced = Tracing::new(CollectSink::new(), session.main());
-        let reports = pipeline.run_observed(&mut p, &mut traced);
-        sink = traced.inner;
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut track = session.track("sim");
-        let sim = cmt_bench::simulate_program_observed_traced(&p, sim_n, 10_000, &mut track);
-        session.absorb(track);
-        sim.export_metrics(&mut sink.metrics, "fig7.cholesky_opt");
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("fig7_cholesky", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("fig7_cholesky: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        sink = CollectSink::new();
-        let reports = pipeline.run_observed(&mut p, &mut sink);
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let sim = cmt_bench::simulate_program_observed(&p, sim_n, 10_000);
-        sim.export_metrics(&mut sink.metrics, "fig7.cholesky_opt");
-    }
-    if let Err(e) = cmt_bench::emit("fig7_cholesky", &sink.remarks, &sink.metrics) {
+    let mut session = cmt_bench::trace_enabled().then(TraceSession::new);
+    let (sink, _) =
+        cmt_bench::observe_figure(&mut p, n.min(160), "fig7.cholesky_opt", session.as_mut());
+    if let Err(e) = cmt_bench::emit_traced("fig7_cholesky", &sink, session.as_ref()) {
         eprintln!("fig7_cholesky: {e}");
         return ExitCode::FAILURE;
     }

@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             let mut p = m.optimized.clone();
             let _ = compound_observed(&mut p, &model, &Default::default(), &mut traced);
             let mut local = traced.inner;
-            let sim = cmt_bench::simulate_program_observed_traced(&p, 64, 10_000, track);
+            let sim = cmt_bench::simulate_program_observed(&p, 64, 10_000, Some(track));
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local
         }),
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
             let mut local = CollectSink::new();
             let mut p = m.optimized.clone();
             let _ = compound_observed(&mut p, &model, &Default::default(), &mut local);
-            let sim = cmt_bench::simulate_program_observed(&p, 64, 10_000);
+            let sim = cmt_bench::simulate_program_observed(&p, 64, 10_000, None);
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local
         }),
@@ -46,17 +46,7 @@ fn main() -> ExitCode {
     for part in parts {
         sink.absorb(part);
     }
-    if let Some(session) = trace_session {
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("table4_hit_rates", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("table4_hit_rates: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = cmt_bench::emit("table4_hit_rates", &sink.remarks, &sink.metrics) {
+    if let Err(e) = cmt_bench::emit_traced("table4_hit_rates", &sink, trace_session.as_ref()) {
         eprintln!("table4_hit_rates: {e}");
         return ExitCode::FAILURE;
     }

@@ -36,7 +36,6 @@ use cmt_locality::{compound_oracle, CompoundOptions, CostModel, NullProvenance, 
 use cmt_obs::json::{self, ObjectWriter, Value};
 use cmt_obs::{CollectSink, DecisionRecord, NullObs, ObsSink, TraceSession, Tracing};
 use cmt_profile::{describe_cache, profile_program, ProfileOptions, SamplePolicy};
-use cmt_verify::{corpus_seeds, generate};
 
 /// What a decision-provenance sweep covers.
 #[derive(Clone, Copy, Debug)]
@@ -61,20 +60,6 @@ impl Default for ExplainSweepConfig {
             margin_tie: 0.05,
         }
     }
-}
-
-/// Builds the sweep corpus: the first `cfg.seeds` committed
-/// verify-corpus seeds, then (when `cfg.kernels`) the paper kernels.
-pub fn explain_corpus(cfg: &ExplainSweepConfig) -> Vec<Program> {
-    let mut programs: Vec<Program> = corpus_seeds()
-        .into_iter()
-        .take(cfg.seeds)
-        .map(generate)
-        .collect();
-    if cfg.kernels {
-        programs.extend(cmt_suite::kernels::paper_kernels());
-    }
-    programs
 }
 
 /// One joined decision row of the explain document: the `LoopCost`
@@ -802,6 +787,7 @@ pub fn explain_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus;
 
     fn small_cfg() -> ExplainSweepConfig {
         ExplainSweepConfig {
@@ -815,7 +801,7 @@ mod tests {
     #[test]
     fn sweep_produces_decisions_and_attribution() {
         let cfg = small_cfg();
-        let programs = explain_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         assert_eq!(programs.len(), 3);
         let mut sink = CollectSink::new();
         let (doc, report) = explain_sweep(&programs, &cfg, &mut sink, None).unwrap();
@@ -839,7 +825,7 @@ mod tests {
     #[test]
     fn attribution_terms_reconstruct_predicted() {
         let cfg = small_cfg();
-        let programs = explain_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = CollectSink::new();
         let (doc, _) = explain_sweep(&programs, &cfg, &mut sink, None).unwrap();
         for d in &doc.divergence {
@@ -858,7 +844,7 @@ mod tests {
     #[test]
     fn documents_round_trip() {
         let cfg = small_cfg();
-        let programs = explain_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = CollectSink::new();
         let (doc, report) = explain_sweep(&programs, &cfg, &mut sink, None).unwrap();
         let text = doc.to_json();

@@ -22,7 +22,6 @@ use cmt_profile::{
     describe_cache, escalate, kendall_tau, profile_program, rank_hotspots, top_k_agreement,
     EscalationConfig, EscalationOutcome, HotspotProfile, ProfileOptions, SamplePolicy,
 };
-use cmt_verify::{corpus_seeds, generate};
 
 /// What a profiling sweep covers and how.
 #[derive(Clone, Copy, Debug)]
@@ -102,20 +101,6 @@ impl SweepResult {
         }
         self.accesses_sampled as f64 / self.accesses_total as f64
     }
-}
-
-/// Builds the sweep corpus: the first `cfg.seeds` committed
-/// verify-corpus seeds, then (when `cfg.kernels`) the paper kernels.
-pub fn sweep_corpus(cfg: &SweepConfig) -> Vec<Program> {
-    let mut programs: Vec<Program> = corpus_seeds()
-        .into_iter()
-        .take(cfg.seeds)
-        .map(generate)
-        .collect();
-    if cfg.kernels {
-        programs.extend(cmt_suite::kernels::paper_kernels());
-    }
-    programs
 }
 
 /// Runs one sweep over `programs`. Profiling is parallel (`CMT_JOBS`)
@@ -228,6 +213,7 @@ pub fn profile_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus;
 
     fn small_cfg() -> SweepConfig {
         SweepConfig {
@@ -243,7 +229,7 @@ mod tests {
     #[test]
     fn sweep_profiles_ranks_and_escalates() {
         let cfg = small_cfg();
-        let programs = sweep_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         assert_eq!(programs.len(), 4);
         let mut sink = CollectSink::new();
         let result = profile_sweep(&programs, &cfg, &mut sink, None).unwrap();
@@ -267,7 +253,7 @@ mod tests {
             check: true,
             ..small_cfg()
         };
-        let programs = sweep_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = CollectSink::new();
         let result = profile_sweep(&programs, &cfg, &mut sink, None).unwrap();
         let agreement = result.agreement.expect("check run must report agreement");
@@ -283,7 +269,7 @@ mod tests {
             n: 32,
             ..small_cfg()
         };
-        let programs = sweep_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = CollectSink::new();
         let result = profile_sweep(&programs, &cfg, &mut sink, None).unwrap();
         assert!(

@@ -321,6 +321,7 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus;
     use cmt_obs::{CollectSink, ObsSink, Remark, RemarkKind, TraceSession};
 
     fn sample_sink() -> CollectSink {
@@ -444,7 +445,7 @@ mod tests {
 
     #[test]
     fn analytic_section_renders_per_geometry_accuracy() {
-        use crate::analytic::{analytic_corpus, analytic_sweep, AnalyticSweepConfig};
+        use crate::analytic::{analytic_sweep, AnalyticSweepConfig};
 
         let cfg = AnalyticSweepConfig {
             seeds: 2,
@@ -452,7 +453,7 @@ mod tests {
             n: 32,
             ..AnalyticSweepConfig::default()
         };
-        let programs = analytic_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = cmt_obs::CollectSink::new();
         let analytic = analytic_sweep(&programs, &cfg, &mut sink, None).unwrap();
         let report = render_report(
@@ -525,7 +526,7 @@ mod tests {
 
     #[test]
     fn decisions_section_renders_provenance() {
-        use crate::explain::{explain_corpus, explain_sweep, ExplainSweepConfig};
+        use crate::explain::{explain_sweep, ExplainSweepConfig};
 
         let cfg = ExplainSweepConfig {
             seeds: 2,
@@ -533,7 +534,7 @@ mod tests {
             n: 24,
             margin_tie: 0.05,
         };
-        let programs = explain_corpus(&cfg);
+        let programs = corpus(cfg.seeds, cfg.kernels);
         let mut sink = cmt_obs::CollectSink::new();
         let (doc, _) = explain_sweep(&programs, &cfg, &mut sink, None).unwrap();
         let report = render_report(

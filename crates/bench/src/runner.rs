@@ -2,11 +2,10 @@
 //! plus the deterministic parallel corpus runner ([`par_map`]).
 
 use cmt_cache::{Cache, CacheConfig, CacheStats, ObservedCache, ShardedCache};
-use cmt_interp::{Machine, MeteredSink, TraceSink, TracedSink};
-use cmt_ir::ids::ArrayId;
+use cmt_interp::simulate;
 use cmt_ir::program::Program;
-use cmt_locality::{compound::compound, model::CostModel};
-use cmt_obs::{MetricsRegistry, TraceArg, TraceTrack};
+use cmt_locality::{compound::compound, model::CostModel, pass::Pipeline};
+use cmt_obs::{CollectSink, MetricsRegistry, TraceArg, TraceSession, TraceTrack, Tracing};
 use cmt_suite::BenchmarkModel;
 
 // The deterministic worker pool moved down to `cmt-obs` so the
@@ -39,56 +38,23 @@ pub struct VersionPair {
     pub whole_final: ProgramSim,
 }
 
-/// Sink adapter shifting all addresses by a constant, so two separately
-/// allocated programs occupy disjoint address ranges in a shared cache.
-///
-/// Batch-granular: a packed access is `addr | write_bit`, addresses stay
-/// below 2^41 and the offset is at most `1 << 40`, so adding the offset
-/// to the packed word never carries into the write bit and a whole
-/// buffer is offset with one add per element before hitting the
-/// simulation cores.
-struct OffsetInto<'a> {
-    offset: u64,
-    caches: &'a mut [ShardedCache; 2],
-    buf: Vec<u64>,
-}
-
-impl TraceSink for OffsetInto<'_> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.caches[0].access(addr + self.offset, is_write);
-        self.caches[1].access(addr + self.offset, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        if self.offset == 0 {
-            self.caches[0].access_batch(batch);
-            self.caches[1].access_batch(batch);
-        } else {
-            self.buf.clear();
-            self.buf.extend(batch.iter().map(|&p| p + self.offset));
-            self.caches[0].access_batch(&self.buf);
-            self.caches[1].access_batch(&self.buf);
-        }
-    }
-}
-
-/// The two paper caches as set-sharded engines (honoring `CMT_SHARDS` /
-/// `CMT_JOBS` via [`cmt_cache::default_shard_count`]), with every array
-/// of `m` reserved for dense cold tracking at `offset`.
-fn paper_caches(program: &Program, m: &Machine, offset: u64) -> [ShardedCache; 2] {
-    let mut caches = [
+/// The two paper caches as set-sharded engines, honoring `CMT_SHARDS` /
+/// `CMT_JOBS` via [`cmt_cache::default_shard_count`].
+fn paper_caches() -> [ShardedCache; 2] {
+    [
         ShardedCache::new(CacheConfig::rs6000()),
         ShardedCache::new(CacheConfig::i860()),
-    ];
-    for (k, _) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.reserve_region(start + offset, bytes);
+    ]
+}
+
+impl ProgramSim {
+    /// The stats of the two paper caches, RS/6000 first.
+    fn of(caches: &mut [ShardedCache; 2]) -> ProgramSim {
+        ProgramSim {
+            cache1: caches[0].stats(),
+            cache2: caches[1].stats(),
         }
     }
-    caches
 }
 
 /// Simulates one program at parameter `n`, returning both caches' stats.
@@ -98,19 +64,9 @@ fn paper_caches(program: &Program, m: &Machine, offset: u64) -> [ShardedCache; 2
 /// Panics if execution fails (suite programs are in-bounds by
 /// construction).
 pub fn simulate_program(program: &Program, n: i64) -> ProgramSim {
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    let mut caches = paper_caches(program, &m, 0);
-    let mut sink = OffsetInto {
-        offset: 0,
-        caches: &mut caches,
-        buf: Vec::new(),
-    };
-    m.run(program, &mut sink).expect("execution");
-    let [mut c1, mut c2] = caches;
-    ProgramSim {
-        cache1: c1.stats(),
-        cache2: c2.stats(),
-    }
+    let mut caches = paper_caches();
+    simulate(program, &[n], 0, &mut caches, None).expect("execution");
+    ProgramSim::of(&mut caches)
 }
 
 /// One observed run: whole-trace stats plus per-array attribution and
@@ -148,207 +104,61 @@ impl ObservedSim {
     }
 }
 
-/// Feeds both observed caches.
-struct BothObserved<'a> {
-    caches: &'a mut [ObservedCache; 2],
-}
-
-impl TraceSink for BothObserved<'_> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.caches[0].access(addr, is_write);
-        self.caches[1].access(addr, is_write);
-    }
-}
-
-/// [`simulate_program`] on the set-sharded engine, with observability:
-/// deterministic `{prefix}.cache{1,2}.shard.*` counters (shard count,
-/// flushes, partitioned accesses, per-shard accesses/misses — see
-/// [`ShardedCache::export_metrics`]) land in `registry`, and, when a
-/// `track` is given, every per-shard simulation slice is replayed as a
-/// `sim.shard` complete-span so Perfetto shows how the partitioned
-/// flushes spread work across shards.
-///
-/// `shards` pins the shard count explicitly: artifact-producing callers
-/// must not inherit it from `CMT_SHARDS`/`CMT_JOBS`, or committed
-/// baselines would depend on the host. Statistics are identical to
-/// [`simulate_program`] for every shard count, and identical whether or
-/// not tracing is enabled (the flush log only adds timing).
-///
-/// # Panics
-///
-/// Panics if execution fails (suite programs are in-bounds by
-/// construction).
-pub fn simulate_program_sharded_traced(
-    program: &Program,
-    n: i64,
-    shards: usize,
-    registry: &mut MetricsRegistry,
-    prefix: &str,
-    mut track: Option<&mut TraceTrack>,
-) -> ProgramSim {
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    let mut caches = [
-        ShardedCache::with_shards(CacheConfig::rs6000(), shards),
-        ShardedCache::with_shards(CacheConfig::i860(), shards),
-    ];
-    for (k, _) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.reserve_region(start, bytes);
-        }
-    }
-    if track.is_some() {
-        for c in &mut caches {
-            c.enable_flush_log();
-        }
-    }
-    let t0 = track.as_deref_mut().map(|t| t.start());
-    let mut sink = OffsetInto {
-        offset: 0,
-        caches: &mut caches,
-        buf: Vec::new(),
-    };
-    m.run(program, &mut sink).expect("execution");
-    let [mut c1, mut c2] = caches;
-    let sim = ProgramSim {
-        cache1: c1.stats(),
-        cache2: c2.stats(),
-    };
-    c1.export_metrics(registry, &format!("{prefix}.cache1"));
-    c2.export_metrics(registry, &format!("{prefix}.cache2"));
-    if let (Some(track), Some(t0)) = (track, t0) {
-        // Shards run concurrently inside a flush; the replay lays their
-        // slices end to end from the run's start, which preserves each
-        // slice's duration and per-cache ordering without pretending to
-        // know the pool's real interleaving.
-        for (which, cache) in [("cache1", &mut c1), ("cache2", &mut c2)] {
-            let mut ts = t0;
-            for span in cache.take_flush_log() {
-                let dur = span.nanos / 1_000;
-                track.complete_at(
-                    ts,
-                    dur,
-                    "sim.shard",
-                    &[
-                        ("cache", TraceArg::Str(which)),
-                        ("shard", TraceArg::U64(u64::from(span.shard))),
-                        ("accesses", TraceArg::U64(span.accesses)),
-                    ],
-                );
-                ts += dur.max(1);
-            }
-        }
-        track.normalize();
-    }
-    sim
-}
-
 /// [`simulate_program`] with observability: every array's address range
 /// is registered for per-array attribution, and miss rates are
 /// snapshotted every `interval` accesses (`0` disables snapshots).
+/// The caches see the identical trace, so `result.sim` equals what
+/// [`simulate_program`] reports for the same inputs.
 ///
-/// The wrapped caches see the identical trace, so `result.sim` equals
-/// what [`simulate_program`] reports for the same inputs.
+/// With a `track`, the run also profiles itself: the whole run becomes
+/// one `simulate` complete-span (args: program name, accesses, both
+/// caches' miss counts), each interpreter flush becomes a `sim.batch`
+/// span, and the interval snapshots are replayed as `cache1.miss_rate`
+/// / `cache2.miss_rate` counter tracks interpolated along the span — so
+/// Perfetto shows the miss-rate phase structure against wall-clock
+/// time. The simulation results do not depend on tracing.
 ///
 /// # Panics
 ///
 /// Panics if execution fails (suite programs are in-bounds by
 /// construction).
-pub fn simulate_program_observed(program: &Program, n: i64, interval: u64) -> ObservedSim {
-    let mut caches = [
-        ObservedCache::new(Cache::new(CacheConfig::rs6000()), interval),
-        ObservedCache::new(Cache::new(CacheConfig::i860()), interval),
-    ];
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    for (k, info) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.register_region(info.name(), start, bytes);
-        }
-    }
-    let mut sink = MeteredSink::new(BothObserved {
-        caches: &mut caches,
-    });
-    m.run(program, &mut sink).expect("execution");
-    let (loads, stores) = (sink.loads, sink.stores);
-    let [mut c1, mut c2] = caches;
-    c1.flush_window();
-    c2.flush_window();
-    ObservedSim {
-        sim: ProgramSim {
-            cache1: c1.stats(),
-            cache2: c2.stats(),
-        },
-        cache1: c1,
-        cache2: c2,
-        loads,
-        stores,
-    }
-}
-
-/// [`simulate_program_observed`] plus self-profiling onto `track`: the
-/// whole run becomes one `simulate` complete-span (args: program name,
-/// accesses, both caches' miss counts), each interpreter flush becomes a
-/// `sim.batch` span, and the interval snapshots are replayed as
-/// `cache1.miss_rate` / `cache2.miss_rate` counter tracks interpolated
-/// along the span — so Perfetto shows the miss-rate phase structure
-/// against wall-clock time. The simulation results are identical to the
-/// untraced call.
-pub fn simulate_program_observed_traced(
+pub fn simulate_program_observed(
     program: &Program,
     n: i64,
     interval: u64,
-    track: &mut TraceTrack,
+    mut track: Option<&mut TraceTrack>,
 ) -> ObservedSim {
     let mut caches = [
         ObservedCache::new(Cache::new(CacheConfig::rs6000()), interval),
         ObservedCache::new(Cache::new(CacheConfig::i860()), interval),
     ];
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    for (k, info) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.register_region(info.name(), start, bytes);
-        }
-    }
-    let t0 = track.start();
-    let mut sink = TracedSink::new(
-        MeteredSink::new(BothObserved {
-            caches: &mut caches,
-        }),
-        track,
-    );
-    m.run(program, &mut sink).expect("execution");
-    let (loads, stores) = (sink.inner.loads, sink.inner.stores);
-    let t1 = track.now_us();
+    let t0 = track.as_deref().map(TraceTrack::start);
+    let run = simulate(program, &[n], 0, &mut caches, track.as_deref_mut()).expect("execution");
     let [mut c1, mut c2] = caches;
     c1.flush_window();
     c2.flush_window();
-    let span = (t1 - t0) as f64;
-    for (prefix, cache) in [("cache1", &c1), ("cache2", &c2)] {
-        for (frac, rate) in cache.miss_rate_series() {
-            let ts = t0 + (frac * span) as u64;
-            track.counter_at(ts, &format!("{prefix}.miss_rate"), rate);
+    if let (Some(track), Some(t0)) = (track, t0) {
+        let t1 = track.now_us();
+        let span = (t1 - t0) as f64;
+        for (prefix, cache) in [("cache1", &c1), ("cache2", &c2)] {
+            for (frac, rate) in cache.miss_rate_series() {
+                let ts = t0 + (frac * span) as u64;
+                track.counter_at(ts, &format!("{prefix}.miss_rate"), rate);
+            }
         }
+        track.complete_at(
+            t0,
+            t1 - t0,
+            "simulate",
+            &[
+                ("program", TraceArg::Str(program.name())),
+                ("accesses", TraceArg::U64(run.loads + run.stores)),
+                ("cache1_misses", TraceArg::U64(c1.stats().misses)),
+                ("cache2_misses", TraceArg::U64(c2.stats().misses)),
+            ],
+        );
+        track.normalize();
     }
-    track.complete_at(
-        t0,
-        t1 - t0,
-        "simulate",
-        &[
-            ("program", TraceArg::Str(program.name())),
-            ("accesses", TraceArg::U64(loads + stores)),
-            ("cache1_misses", TraceArg::U64(c1.stats().misses)),
-            ("cache2_misses", TraceArg::U64(c2.stats().misses)),
-        ],
-    );
-    track.normalize();
     ObservedSim {
         sim: ProgramSim {
             cache1: c1.stats(),
@@ -356,9 +166,36 @@ pub fn simulate_program_observed_traced(
         },
         cache1: c1,
         cache2: c2,
-        loads,
-        stores,
+        loads: run.loads,
+        stores: run.stores,
     }
+}
+
+/// Replays the per-shard flush slices of two set-sharded caches (see
+/// [`ShardedCache::enable_flush_log`]) onto `track` as `sim.shard`
+/// complete-spans, starting at `t0`. Shards run concurrently inside a
+/// flush; the replay lays their slices end to end, which preserves each
+/// slice's duration and per-cache ordering without pretending to know
+/// the pool's real interleaving.
+pub fn replay_shard_log(track: &mut TraceTrack, t0: u64, caches: &mut [ShardedCache; 2]) {
+    for (which, cache) in ["cache1", "cache2"].into_iter().zip(caches) {
+        let mut ts = t0;
+        for span in cache.take_flush_log() {
+            let dur = span.nanos / 1_000;
+            track.complete_at(
+                ts,
+                dur,
+                "sim.shard",
+                &[
+                    ("cache", TraceArg::Str(which)),
+                    ("shard", TraceArg::U64(u64::from(span.shard))),
+                    ("accesses", TraceArg::U64(span.accesses)),
+                ],
+            );
+            ts += dur.max(1);
+        }
+    }
+    track.normalize();
 }
 
 /// Simulates original and compound-transformed versions of a benchmark
@@ -371,43 +208,12 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
 
     let run_whole = |opt: &Program| -> (ProgramSim, ProgramSim) {
         // Optimized procedures first…
-        let mut m = Machine::new(opt, &[n]).expect("allocation");
-        let mut caches = paper_caches(opt, &m, 0);
-        {
-            let mut sink = OffsetInto {
-                offset: 0,
-                caches: &mut caches,
-                buf: Vec::new(),
-            };
-            m.run(opt, &mut sink).expect("execution");
-        }
-        let opt_stats = ProgramSim {
-            cache1: caches[0].stats(),
-            cache2: caches[1].stats(),
-        };
+        let mut caches = paper_caches();
+        simulate(opt, &[n], 0, &mut caches, None).expect("execution");
+        let opt_stats = ProgramSim::of(&mut caches);
         // …then the background, offset far away in the address space.
-        let mut mr = Machine::new(&model.rest, &[n]).expect("allocation");
-        for (k, _) in model.rest.arrays().iter().enumerate() {
-            let id = ArrayId(k as u32);
-            let start = mr.storage(id).address_of(0);
-            let bytes = mr.array_data(id).len() as u64 * 8;
-            for c in &mut caches {
-                c.reserve_region(start + (1 << 40), bytes);
-            }
-        }
-        {
-            let mut sink = OffsetInto {
-                offset: 1 << 40,
-                caches: &mut caches,
-                buf: Vec::new(),
-            };
-            mr.run(&model.rest, &mut sink).expect("execution");
-        }
-        let whole = ProgramSim {
-            cache1: caches[0].stats(),
-            cache2: caches[1].stats(),
-        };
-        (opt_stats, whole)
+        simulate(&model.rest, &[n], 1 << 40, &mut caches, None).expect("execution");
+        (opt_stats, ProgramSim::of(&mut caches))
     };
 
     let (opt_orig, whole_orig) = run_whole(&orig);
@@ -418,6 +224,66 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
         whole_orig,
         whole_final,
     }
+}
+
+/// The observability run shared by the figure binaries: the paper
+/// pipeline over `program` (pass spans on the session's main track when
+/// a session is given), one `[pass]` line per pass on stdout, then an
+/// attributed simulation of the result at `sim_n` (on its own `sim`
+/// track) exported under `prefix`.
+pub fn observe_figure(
+    program: &mut Program,
+    sim_n: i64,
+    prefix: &str,
+    mut session: Option<&mut TraceSession>,
+) -> (CollectSink, ObservedSim) {
+    let pipeline = Pipeline::paper_default(4);
+    let (mut sink, reports) = match session.as_deref_mut() {
+        Some(session) => {
+            let mut traced = Tracing::new(CollectSink::new(), session.main());
+            let reports = pipeline.run_observed(program, &mut traced);
+            (traced.inner, reports)
+        }
+        None => {
+            let mut sink = CollectSink::new();
+            let reports = pipeline.run_observed(program, &mut sink);
+            (sink, reports)
+        }
+    };
+    for r in &reports {
+        println!("[pass] {}: {}", r.name, r.summary);
+    }
+    let mut track = session.as_deref_mut().map(|s| s.track("sim"));
+    let sim = simulate_program_observed(program, sim_n, 10_000, track.as_mut());
+    if let (Some(session), Some(track)) = (session, track) {
+        session.absorb(track);
+    }
+    sim.export_metrics(&mut sink.metrics, prefix);
+    (sink, sim)
+}
+
+/// Writes a binary's artifacts: the validated Chrome Trace when a
+/// session was recorded, then `{name}.remarks.jsonl` and
+/// `{name}.metrics.json`.
+///
+/// # Errors
+///
+/// Fails when the trace violates its structural invariants or an
+/// artifact cannot be written.
+pub fn emit_traced(
+    name: &str,
+    sink: &CollectSink,
+    session: Option<&TraceSession>,
+) -> Result<(), String> {
+    if let Some(session) = session {
+        session
+            .validate()
+            .map_err(|e| format!("trace invariants: {e}"))?;
+        let path =
+            crate::write_trace_json(name, &session.to_chrome_json()).map_err(|e| e.to_string())?;
+        println!("[obs] trace:    {}", path.display());
+    }
+    crate::emit(name, &sink.remarks, &sink.metrics).map_err(|e| e.to_string())
 }
 
 /// Shared observability companion of the table/figure binaries: runs
@@ -437,7 +303,6 @@ pub fn emit_observed_compound(
     opts: &cmt_locality::CompoundOptions,
 ) -> Result<(), String> {
     use cmt_locality::compound_observed;
-    use cmt_obs::{CollectSink, TraceSession, Tracing};
 
     let model = CostModel::new(4);
     let mut session = crate::trace_enabled().then(TraceSession::new);
@@ -459,15 +324,7 @@ pub fn emit_observed_compound(
     for part in parts {
         sink.absorb(part);
     }
-    if let Some(session) = &session {
-        session
-            .validate()
-            .map_err(|e| format!("trace invariants: {e}"))?;
-        let path =
-            crate::write_trace_json(name, &session.to_chrome_json()).map_err(|e| e.to_string())?;
-        println!("[obs] trace:    {}", path.display());
-    }
-    crate::emit(name, &sink.remarks, &sink.metrics).map_err(|e| e.to_string())
+    emit_traced(name, &sink, session.as_ref())
 }
 
 #[cfg(test)]
@@ -504,7 +361,7 @@ mod tests {
     fn observed_sim_matches_plain_sim() {
         let p = cmt_suite::kernels::matmul("IJK");
         let plain = simulate_program(&p, 24);
-        let obs = simulate_program_observed(&p, 24, 1000);
+        let obs = simulate_program_observed(&p, 24, 1000, None);
         assert_eq!(plain.cache1, obs.sim.cache1);
         assert_eq!(plain.cache2, obs.sim.cache2);
         // All accesses land in registered arrays, and attribution
@@ -520,16 +377,48 @@ mod tests {
             reg.counter_value("sim.mm.interp.accesses"),
             obs.sim.cache1.accesses
         );
+
+        // Traced: identical results, plus the simulate span, per-batch
+        // spans and miss-rate counter samples.
+        let mut session = TraceSession::new();
+        let mut track = session.track("sim");
+        let traced = simulate_program_observed(&p, 24, 1000, Some(&mut track));
+        session.absorb(track);
+        let mut reg2 = MetricsRegistry::new();
+        traced.export_metrics(&mut reg2, "sim.mm");
+        assert_eq!(
+            reg.to_json(),
+            reg2.to_json(),
+            "tracing must not change metrics"
+        );
+        session.validate().expect("trace invariants");
+        let json = session.to_chrome_json();
+        for name in ["\"simulate\"", "sim.batch", "cache2.miss_rate"] {
+            assert!(json.contains(name), "expected {name} in the trace");
+        }
     }
 
     #[test]
-    fn sharded_traced_sim_matches_plain_and_exports_shard_metrics() {
+    fn pinned_shards_match_plain_and_replay_shard_spans() {
         let p = cmt_suite::kernels::matmul("IJK");
         let plain = simulate_program(&p, 24);
+        let sharded = |traced: bool| {
+            let mut caches = [
+                ShardedCache::with_shards(CacheConfig::rs6000(), 4),
+                ShardedCache::with_shards(CacheConfig::i860(), 4),
+            ];
+            if traced {
+                caches.iter_mut().for_each(ShardedCache::enable_flush_log);
+            }
+            simulate(&p, &[24], 0, &mut caches, None).expect("execution");
+            let mut reg = MetricsRegistry::new();
+            caches[0].export_metrics(&mut reg, "sim.mm.cache1");
+            caches[1].export_metrics(&mut reg, "sim.mm.cache2");
+            (ProgramSim::of(&mut caches), reg, caches)
+        };
 
-        // Untraced: stats agree with the plain engine, counters land.
-        let mut reg = MetricsRegistry::new();
-        let quiet = simulate_program_sharded_traced(&p, 24, 4, &mut reg, "sim.mm", None);
+        // Untraced: stats agree with the default engine, counters land.
+        let (quiet, reg, _) = sharded(false);
         assert_eq!(plain.cache1, quiet.cache1);
         assert_eq!(plain.cache2, quiet.cache2);
         assert_eq!(reg.counter_value("sim.mm.cache1.shard.count"), 4);
@@ -539,19 +428,20 @@ mod tests {
             .sum();
         assert_eq!(per_shard, plain.cache2.accesses);
 
-        // Traced: identical stats and counters, plus sim.shard spans.
-        let mut session = cmt_obs::TraceSession::new();
-        let mut track = session.track("sim.sharded");
-        let mut reg2 = MetricsRegistry::new();
-        let traced =
-            simulate_program_sharded_traced(&p, 24, 4, &mut reg2, "sim.mm", Some(&mut track));
-        session.absorb(track);
-        assert_eq!(quiet.cache2, traced.cache2, "tracing must not change stats");
+        // Flush-logged: identical stats and counters; the log replays as
+        // sim.shard spans.
+        let (logged, reg2, mut caches) = sharded(true);
+        assert_eq!(quiet.cache2, logged.cache2, "tracing must not change stats");
         assert_eq!(
             reg.to_json(),
             reg2.to_json(),
             "counters must not depend on tracing"
         );
+        let mut session = TraceSession::new();
+        let mut track = session.track("sim.sharded");
+        let t0 = track.start();
+        replay_shard_log(&mut track, t0, &mut caches);
+        session.absorb(track);
         session.validate().expect("trace invariants");
         let json = session.to_chrome_json();
         assert!(json.contains("sim.shard"), "expected sim.shard spans");

@@ -25,8 +25,7 @@ use cmt_ir::pretty::program_to_source;
 use cmt_obs::json::{self, ObjectWriter, Value};
 use cmt_obs::SplitMix64;
 use cmt_serve::{ServeConfig, Server};
-use cmt_suite::kernels::paper_kernels;
-use cmt_verify::{corpus_seeds, generate};
+use cmt_verify::generate;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -334,20 +333,6 @@ pub fn diff_server(
     f
 }
 
-/// The replay set: `seeds` verify-corpus programs plus (optionally) the
-/// paper kernels, as parser-surface sources.
-pub fn serve_corpus(cfg: &ServeBenchConfig) -> Vec<String> {
-    let mut corpus: Vec<String> = corpus_seeds()
-        .into_iter()
-        .take(cfg.seeds)
-        .map(|s| program_to_source(&generate(s)))
-        .collect();
-    if cfg.kernels {
-        corpus.extend(paper_kernels().iter().map(program_to_source));
-    }
-    corpus
-}
-
 /// One scheduled request: which program, and whether it is part of the
 /// replay (pass 2+) accounting.
 #[derive(Clone, Debug)]
@@ -554,7 +539,12 @@ pub fn run_serve_bench(
     cfg: &ServeBenchConfig,
     transport: &ServeTransport,
 ) -> Result<ServerBenchReport, String> {
-    let corpus = Arc::new(serve_corpus(cfg));
+    let corpus = Arc::new(
+        crate::corpus(cfg.seeds, cfg.kernels)
+            .iter()
+            .map(program_to_source)
+            .collect::<Vec<_>>(),
+    );
     if corpus.is_empty() {
         return Err("empty replay corpus".to_string());
     }

@@ -14,13 +14,28 @@
 
 use cmt_bench::par_map;
 use cmt_cache::{Cache, CacheConfig, LegacyCache, ObservedCache, ShardedCache};
-use cmt_interp::{Machine, RecordingSink};
-use cmt_ir::ids::ArrayId;
+use cmt_interp::{simulate, Machine, RecordingSink, SimCache, TraceSink};
 use cmt_ir::program::Program;
 use std::sync::Mutex;
 
 /// Serializes tests that read or write `CMT_JOBS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// An observed cache fed one scalar `access` call per element: the
+/// default [`TraceSink::access_batch`] unpacks every batch.
+struct Scalar(ObservedCache);
+
+impl TraceSink for Scalar {
+    fn access(&mut self, addr: u64, is_write: bool) {
+        self.0.access(addr, is_write);
+    }
+}
+
+impl SimCache for Scalar {
+    fn region(&mut self, name: &str, start: u64, len: u64) {
+        self.0.region(name, start, len);
+    }
+}
 
 /// Runs `program` once, recording the full trace.
 fn record(program: &Program, n: i64) -> RecordingSink {
@@ -122,26 +137,26 @@ fn observed_attribution_identical_scalar_vs_batched() {
         let p = &m.optimized;
         // Batched path: the real pipeline (interpreter buffers 4 K
         // packed accesses per sink call).
-        let obs = cmt_bench::simulate_program_observed(p, n, interval);
+        let obs = cmt_bench::simulate_program_observed(p, n, interval, None);
 
         // Scalar reference: same trace, one access() call per element,
-        // into an identically configured ObservedCache.
-        let mut layout = Machine::new(p, &[n]).expect("allocation");
-        let rec = record(p, n);
-        for (which, cfg, batched) in [
-            ("cache1", CacheConfig::rs6000(), &obs.cache1),
-            ("cache2", CacheConfig::i860(), &obs.cache2),
+        // into identically configured ObservedCaches.
+        let mut reference = [
+            Scalar(ObservedCache::new(
+                Cache::new(CacheConfig::rs6000()),
+                interval,
+            )),
+            Scalar(ObservedCache::new(
+                Cache::new(CacheConfig::i860()),
+                interval,
+            )),
+        ];
+        simulate(p, &[n], 0, &mut reference, None).expect("execution");
+        let [Scalar(cache1), Scalar(cache2)] = reference;
+        for (which, mut reference, batched) in [
+            ("cache1", cache1, &obs.cache1),
+            ("cache2", cache2, &obs.cache2),
         ] {
-            let mut reference = ObservedCache::new(Cache::new(cfg), interval);
-            for (k, info) in p.arrays().iter().enumerate() {
-                let id = ArrayId(k as u32);
-                let start = layout.storage(id).address_of(0);
-                let bytes = layout.array_data(id).len() as u64 * 8;
-                reference.register_region(info.name(), start, bytes);
-            }
-            for &(a, w) in &rec.trace {
-                reference.access(a, w);
-            }
             reference.flush_window();
 
             let name = &m.spec.name;

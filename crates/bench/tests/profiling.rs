@@ -9,7 +9,7 @@
 //! gates (32 seeds at n=64, ≤10% sampled cost, top-5 agreement 1.0)
 //! run in CI via `cmt-profile --check` (see scripts/ci.sh).
 
-use cmt_bench::{profile_sweep, sweep_corpus, SweepConfig};
+use cmt_bench::{corpus, profile_sweep, SweepConfig};
 use cmt_obs::CollectSink;
 use cmt_profile::{profile_program, ProfileOptions, SamplePolicy};
 use std::sync::Mutex;
@@ -31,7 +31,7 @@ fn small_cfg() -> SweepConfig {
 
 /// One sweep → (profile.json bytes, remarks JSONL, metrics JSON).
 fn run_once(cfg: &SweepConfig) -> (String, String, String) {
-    let programs = sweep_corpus(cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     let mut sink = CollectSink::new();
     let result = profile_sweep(&programs, cfg, &mut sink, None).expect("sweep");
     (
@@ -69,7 +69,7 @@ fn sampled_ranking_agrees_with_full_simulation() {
         check: true,
         ..small_cfg()
     };
-    let programs = sweep_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     let mut sink = CollectSink::new();
     let result = profile_sweep(&programs, &cfg, &mut sink, None).expect("sweep");
     let agreement = result.agreement.expect("check run reports agreement");
@@ -155,7 +155,7 @@ fn escalation_reaches_only_flagged_programs_end_to_end() {
         optimize: true,
         ..small_cfg()
     };
-    let programs = sweep_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     let mut sink = CollectSink::new();
     let result = profile_sweep(&programs, &cfg, &mut sink, None).expect("sweep");
 

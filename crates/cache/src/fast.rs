@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 /// Write flag of a packed access. Addresses must stay below this bit;
 /// the interpreter's simulated address space tops out around 2^41
-/// (`OffsetInto` shifts by 1 << 40), far under the limit.
+/// (`cmt_interp::simulate` shifts by at most 1 << 40), far under the limit.
 pub const WRITE_BIT: u64 = 1 << 63;
 
 /// Packs a byte address and write flag into one `u64`.

@@ -63,6 +63,14 @@ impl Hierarchy {
         Hierarchy::new(CacheConfig::rs6000(), CacheConfig::new(1024 * 1024, 1, 128))
     }
 
+    /// Reserves a byte range for dense cold-line tracking in both
+    /// levels (see [`Cache::reserve_region`]); statistics never depend
+    /// on it.
+    pub fn reserve_region(&mut self, start: u64, len: u64) {
+        self.l1.reserve_region(start, len);
+        self.l2.reserve_region(start, len);
+    }
+
     /// Simulates one access; returns the level that hit (1, 2) or 3 for
     /// memory.
     pub fn access(&mut self, addr: u64, is_write: bool) -> u8 {

@@ -47,6 +47,6 @@ pub use legacy::LegacyCache;
 pub use observe::{ArrayRegion, IntervalSnapshot, ObservedCache};
 pub use reuse::ReuseDistance;
 pub use shard::{default_shard_count, ShardSpan, ShardedCache};
-pub use sim::{Cache, MultiCache};
+pub use sim::Cache;
 pub use stats::CacheStats;
 pub use tlb::Tlb;

@@ -310,47 +310,6 @@ impl Cache {
     }
 }
 
-/// Several caches fed the same trace — the paper simulates cache1 and
-/// cache2 over one execution.
-#[derive(Clone, Debug)]
-pub struct MultiCache {
-    caches: Vec<Cache>,
-}
-
-impl MultiCache {
-    /// Creates one cache per configuration.
-    pub fn new(configs: &[CacheConfig]) -> Self {
-        MultiCache {
-            caches: configs.iter().map(|c| Cache::new(*c)).collect(),
-        }
-    }
-
-    /// Feeds an access to every cache.
-    pub fn access(&mut self, addr: u64, is_write: bool) {
-        for c in &mut self.caches {
-            c.access(addr, is_write);
-        }
-    }
-
-    /// Feeds a packed batch to every cache; each cache consumes the whole
-    /// buffer in one tight loop.
-    pub fn access_batch(&mut self, batch: &[u64]) {
-        for c in &mut self.caches {
-            c.access_batch(batch);
-        }
-    }
-
-    /// The underlying caches, in construction order.
-    pub fn caches(&self) -> &[Cache] {
-        &self.caches
-    }
-
-    /// Mutable access (e.g. to reset statistics between program phases).
-    pub fn caches_mut(&mut self) -> &mut [Cache] {
-        &mut self.caches
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,17 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn multicache_feeds_all() {
-        let mut m = MultiCache::new(&[CacheConfig::rs6000(), CacheConfig::i860()]);
-        m.access(0, false);
-        m.access(64, false); // same 128B line for cache1, different 32B line for cache2
-        let s1 = m.caches()[0].stats();
-        let s2 = m.caches()[1].stats();
-        assert_eq!(s1.hits, 1);
-        assert_eq!(s2.hits, 0);
-    }
-
-    #[test]
     fn working_set_fits_full_hits_on_second_pass() {
         let mut c = Cache::new(CacheConfig::rs6000());
         // 32 KB working set < 64 KB cache.
@@ -505,23 +453,5 @@ mod tests {
             reserved.access(addr, false);
         }
         assert_eq!(plain.stats(), reserved.stats());
-    }
-
-    #[test]
-    fn multicache_batch_equals_scalar() {
-        let cfgs = [CacheConfig::rs6000(), CacheConfig::i860()];
-        let mut scalar = MultiCache::new(&cfgs);
-        let mut batched = MultiCache::new(&cfgs);
-        let buf: Vec<u64> = (0..5000u64)
-            .map(|k| pack_access(k * 40, k % 7 == 0))
-            .collect();
-        for &p in &buf {
-            let (a, w) = unpack_access(p);
-            scalar.access(a, w);
-        }
-        batched.access_batch(&buf);
-        for (a, b) in scalar.caches().iter().zip(batched.caches()) {
-            assert_eq!(a.stats(), b.stats());
-        }
     }
 }

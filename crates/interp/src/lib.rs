@@ -4,8 +4,8 @@
 //! out column-major (Fortran), emitting every load and store — with its
 //! byte address — to a pluggable [`TraceSink`]. Two uses:
 //!
-//! * **Cache evaluation** — feed the trace to `cmt-cache` simulators to
-//!   regenerate the paper's hit-rate and timing tables;
+//! * **Cache evaluation** — [`simulate()`] feeds the trace to `cmt-cache`
+//!   simulators to regenerate the paper's hit-rate and timing tables;
 //! * **Correctness oracle** — run original and transformed programs and
 //!   compare final array contents bit-exactly, validating every
 //!   transformation end-to-end.
@@ -36,13 +36,15 @@
 
 pub mod exec;
 pub mod machine;
+pub mod simulate;
 pub mod sink;
 pub mod verify;
 
 pub use exec::{ExecError, ExecSummary};
 pub use machine::Machine;
+pub use simulate::{simulate, SimCache};
 pub use sink::{
-    pack_access, unpack_access, CacheSink, CountingSink, MeteredSink, NullSink, RecordingSink,
-    SampledSink, TeeSink, TraceSink, TracedSink, BATCH_LEN, WRITE_BIT,
+    pack_access, unpack_access, CountingSink, NullSink, RecordingSink, SampledSink, TraceSink,
+    BATCH_LEN, WRITE_BIT,
 };
 pub use verify::{assert_equivalent, equivalent, EquivalenceReport};

@@ -8,8 +8,7 @@
 //! implement [`TraceSink::access`] still observe every access in order
 //! via the default batch implementation.
 
-use cmt_cache::{Cache, MultiCache, ObservedCache, ShardedCache};
-use cmt_obs::{MetricsRegistry, TraceArg, TraceTrack};
+use cmt_cache::{Cache, Hierarchy, ObservedCache, ShardedCache};
 
 pub use cmt_cache::fast::{pack_access, unpack_access, WRITE_BIT};
 
@@ -81,16 +80,6 @@ impl TraceSink for Cache {
     }
 }
 
-impl TraceSink for MultiCache {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        MultiCache::access(self, addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        MultiCache::access_batch(self, batch);
-    }
-}
-
 impl TraceSink for ShardedCache {
     fn access(&mut self, addr: u64, is_write: bool) {
         ShardedCache::access(self, addr, is_write);
@@ -101,6 +90,12 @@ impl TraceSink for ShardedCache {
     }
 }
 
+impl TraceSink for Hierarchy {
+    fn access(&mut self, addr: u64, is_write: bool) {
+        let _ = Hierarchy::access(self, addr, is_write);
+    }
+}
+
 impl TraceSink for ObservedCache {
     fn access(&mut self, addr: u64, is_write: bool) {
         let _ = ObservedCache::access(self, addr, is_write);
@@ -108,101 +103,6 @@ impl TraceSink for ObservedCache {
 
     fn access_batch(&mut self, batch: &[u64]) {
         ObservedCache::access_batch(self, batch);
-    }
-}
-
-/// Wraps another sink and meters the stream: loads and stores executed,
-/// exportable into a [`MetricsRegistry`]. This is how a bench run answers
-/// "how many accesses did the interpreter actually issue" without a
-/// second pass over the trace.
-///
-/// Generic over the inner sink — no boxing, no per-access virtual call —
-/// so metering composes with the batched path for free: a batch is
-/// counted with one pass over the write bits and handed to the inner
-/// sink whole.
-#[derive(Clone, Debug, Default)]
-pub struct MeteredSink<S> {
-    /// The wrapped sink.
-    pub inner: S,
-    /// Loads forwarded so far.
-    pub loads: u64,
-    /// Stores forwarded so far.
-    pub stores: u64,
-}
-
-impl<S: TraceSink> MeteredSink<S> {
-    /// Wraps `inner` with zeroed counters.
-    pub fn new(inner: S) -> Self {
-        MeteredSink {
-            inner,
-            loads: 0,
-            stores: 0,
-        }
-    }
-
-    /// Total accesses forwarded.
-    pub fn accesses(&self) -> u64 {
-        self.loads + self.stores
-    }
-
-    /// Writes `{prefix}.{loads,stores,accesses}` counters into `registry`.
-    pub fn export_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
-        registry.counter(&format!("{prefix}.loads"), self.loads);
-        registry.counter(&format!("{prefix}.stores"), self.stores);
-        registry.counter(&format!("{prefix}.accesses"), self.accesses());
-    }
-}
-
-impl<S: TraceSink> TraceSink for MeteredSink<S> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        if is_write {
-            self.stores += 1;
-        } else {
-            self.loads += 1;
-        }
-        self.inner.access(addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        let stores = batch.iter().filter(|&&p| p & WRITE_BIT != 0).count() as u64;
-        self.stores += stores;
-        self.loads += batch.len() as u64 - stores;
-        self.inner.access_batch(batch);
-    }
-}
-
-/// Wraps a sink and records one trace span per flushed batch onto a
-/// [`TraceTrack`], so a Perfetto view of a simulation shows where the
-/// access stream's time actually goes batch by batch. Scalar accesses
-/// forward untimed — per-access spans would dwarf the work they measure.
-#[derive(Debug)]
-pub struct TracedSink<'a, S> {
-    /// The wrapped sink.
-    pub inner: S,
-    /// The track receiving one `sim.batch` complete-span per batch.
-    pub track: &'a mut TraceTrack,
-}
-
-impl<'a, S: TraceSink> TracedSink<'a, S> {
-    /// Wraps `inner`, spanning onto `track`.
-    pub fn new(inner: S, track: &'a mut TraceTrack) -> Self {
-        TracedSink { inner, track }
-    }
-}
-
-impl<S: TraceSink> TraceSink for TracedSink<'_, S> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.inner.access(addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        let start = self.track.now_us();
-        self.inner.access_batch(batch);
-        self.track.complete_since(
-            start,
-            "sim.batch",
-            &[("len", TraceArg::U64(batch.len() as u64))],
-        );
     }
 }
 
@@ -221,9 +121,9 @@ impl<S: TraceSink> TraceSink for TracedSink<'_, S> {
 /// which keeps sampled results byte-identical across `CMT_JOBS` values
 /// and across runs.
 ///
-/// The sink meters the whole stream (loads/stores seen) alongside the
-/// forwarded subset, so callers can scale observed statistics back to
-/// full-trace estimates (see `CacheStats::scaled_to` in `cmt-cache`).
+/// The sink counts the whole stream alongside the forwarded subset, so
+/// callers can scale observed statistics back to full-trace estimates
+/// (see `CacheStats::scaled_to` in `cmt-cache`).
 #[derive(Clone, Debug)]
 pub struct SampledSink<S> {
     /// The wrapped sink; sees only the sampled windows.
@@ -232,10 +132,6 @@ pub struct SampledSink<S> {
     stride: u64,
     phase: u64,
     position: u64,
-    /// Loads seen (forwarded or not).
-    pub loads_seen: u64,
-    /// Stores seen (forwarded or not).
-    pub stores_seen: u64,
     /// Accesses forwarded to the inner sink.
     pub sampled: u64,
 }
@@ -254,14 +150,12 @@ impl<S: TraceSink> SampledSink<S> {
             stride,
             phase,
             position: 0,
-            loads_seen: 0,
-            stores_seen: 0,
             sampled: 0,
         }
     }
 
     /// A pass-through sampler: every access is forwarded, but the stream
-    /// is still metered — the degenerate `stride = 1` case.
+    /// is still counted — the degenerate `stride = 1` case.
     pub fn full(inner: S) -> Self {
         SampledSink::every_kth(inner, BATCH_LEN as u64, 1, 0)
     }
@@ -272,7 +166,7 @@ impl<S: TraceSink> SampledSink<S> {
 
     /// Total accesses seen (forwarded or not).
     pub fn accesses_seen(&self) -> u64 {
-        self.loads_seen + self.stores_seen
+        self.position
     }
 
     /// Windows the stream has started so far.
@@ -318,11 +212,6 @@ impl<S: TraceSink> SampledSink<S> {
 
 impl<S: TraceSink> TraceSink for SampledSink<S> {
     fn access(&mut self, addr: u64, is_write: bool) {
-        if is_write {
-            self.stores_seen += 1;
-        } else {
-            self.loads_seen += 1;
-        }
         if self.is_sampled(self.position / self.window_len) {
             self.inner.access(addr, is_write);
             self.sampled += 1;
@@ -331,9 +220,6 @@ impl<S: TraceSink> TraceSink for SampledSink<S> {
     }
 
     fn access_batch(&mut self, batch: &[u64]) {
-        let stores = batch.iter().filter(|&&p| p & WRITE_BIT != 0).count() as u64;
-        self.stores_seen += stores;
-        self.loads_seen += batch.len() as u64 - stores;
         let mut off = 0usize;
         while off < batch.len() {
             let in_window = (self.window_len - self.position % self.window_len) as usize;
@@ -345,21 +231,6 @@ impl<S: TraceSink> TraceSink for SampledSink<S> {
             self.position += take as u64;
             off += take;
         }
-    }
-}
-
-/// Borrows a cache (or any sink) mutably — convenient when the sink must
-/// outlive the run.
-#[derive(Debug)]
-pub struct CacheSink<'a, S: TraceSink>(pub &'a mut S);
-
-impl<S: TraceSink> TraceSink for CacheSink<'_, S> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.0.access(addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        self.0.access_batch(batch);
     }
 }
 
@@ -404,26 +275,11 @@ impl RecordingSink {
     }
 }
 
-/// Fans one trace out to two sinks.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.0.access(addr, is_write);
-        self.1.access(addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        self.0.access_batch(batch);
-        self.1.access_batch(batch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cmt_cache::CacheConfig;
+    use cmt_obs::MetricsRegistry;
 
     #[test]
     fn counting_sink_counts() {
@@ -491,82 +347,6 @@ mod tests {
             pack_access(0, false),
         ]);
         assert_eq!(s.0, vec![(8, false), (16, true), (0, false)]);
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut tee = TeeSink(CountingSink::default(), RecordingSink::default());
-        tee.access(16, false);
-        tee.access(24, true);
-        tee.access_batch(&[pack_access(32, false)]);
-        assert_eq!(tee.0.loads + tee.0.stores, 3);
-        assert_eq!(tee.1.trace.len(), 3);
-    }
-
-    #[test]
-    fn metered_sink_counts_and_forwards() {
-        let mut m = MeteredSink::new(RecordingSink::default());
-        m.access(0, false);
-        m.access(8, true);
-        m.access_batch(&[pack_access(16, false)]);
-        assert_eq!(m.loads, 2);
-        assert_eq!(m.stores, 1);
-        assert_eq!(m.accesses(), 3);
-        assert_eq!(m.inner.trace.len(), 3);
-        let mut reg = MetricsRegistry::new();
-        m.export_metrics(&mut reg, "interp");
-        assert_eq!(reg.counter_value("interp.accesses"), 3);
-        assert_eq!(reg.counter_value("interp.loads"), 2);
-    }
-
-    #[test]
-    fn metered_batch_path_matches_per_access_path() {
-        // The same packed trace through `access_batch` and through
-        // per-access calls must leave *exactly* equal meters and equal
-        // inner-cache metrics — the batched path is an optimization,
-        // never a semantic change.
-        let packed: Vec<u64> = (0..10_000u64)
-            .map(|k| pack_access((k * 72) % (1 << 14), k % 5 == 0))
-            .collect();
-        let mut per_access =
-            MeteredSink::new(ObservedCache::new(Cache::new(CacheConfig::i860()), 64));
-        per_access.inner.register_region("A", 0, 1 << 14);
-        for &p in &packed {
-            let (a, w) = unpack_access(p);
-            per_access.access(a, w);
-        }
-        let mut batched = MeteredSink::new(ObservedCache::new(Cache::new(CacheConfig::i860()), 64));
-        batched.inner.register_region("A", 0, 1 << 14);
-        for chunk in packed.chunks(BATCH_LEN) {
-            batched.access_batch(chunk);
-        }
-        assert_eq!(per_access.loads, batched.loads);
-        assert_eq!(per_access.stores, batched.stores);
-        assert_eq!(per_access.accesses(), batched.accesses());
-        let mut ra = MetricsRegistry::new();
-        let mut rb = MetricsRegistry::new();
-        per_access.export_metrics(&mut ra, "interp");
-        batched.export_metrics(&mut rb, "interp");
-        per_access.inner.flush_window();
-        batched.inner.flush_window();
-        per_access.inner.export_metrics(&mut ra, "cache");
-        batched.inner.export_metrics(&mut rb, "cache");
-        assert_eq!(ra.to_json(), rb.to_json(), "metrics must match exactly");
-    }
-
-    #[test]
-    fn traced_sink_spans_each_batch() {
-        use cmt_obs::TraceSession;
-        let mut session = TraceSession::new();
-        let mut track = session.track("sim");
-        let mut sink = TracedSink::new(CountingSink::default(), &mut track);
-        sink.access(0, false); // scalar path: no span
-        sink.access_batch(&[pack_access(8, false), pack_access(16, true)]);
-        sink.access_batch(&[pack_access(24, false)]);
-        assert_eq!(sink.inner.loads + sink.inner.stores, 4);
-        assert_eq!(track.len(), 2, "one complete-span per batch");
-        session.absorb(track);
-        session.validate().unwrap();
     }
 
     #[test]
@@ -670,26 +450,41 @@ mod tests {
     }
 
     #[test]
-    fn observed_cache_as_sink() {
-        let mut oc = ObservedCache::new(Cache::new(CacheConfig::i860()), 0);
-        oc.register_region("A", 0, 64);
-        {
-            let mut sink = CacheSink(&mut oc);
-            sink.access(0, false);
-            sink.access(8, false);
+    fn observed_batch_path_matches_per_access_path() {
+        // The same packed trace through `access_batch` and through
+        // per-access calls must leave exactly equal metrics — the
+        // batched path is an optimization, never a semantic change.
+        let packed: Vec<u64> = (0..10_000u64)
+            .map(|k| pack_access((k * 72) % (1 << 14), k % 5 == 0))
+            .collect();
+        let mut per_access = ObservedCache::new(Cache::new(CacheConfig::i860()), 64);
+        per_access.register_region("A", 0, 1 << 14);
+        for &p in &packed {
+            let (a, w) = unpack_access(p);
+            TraceSink::access(&mut per_access, a, w);
         }
-        assert_eq!(oc.stats().hits, 1);
-        assert_eq!(oc.per_array().next().unwrap().1.accesses, 2);
+        let mut batched = ObservedCache::new(Cache::new(CacheConfig::i860()), 64);
+        batched.register_region("A", 0, 1 << 14);
+        for chunk in packed.chunks(BATCH_LEN) {
+            TraceSink::access_batch(&mut batched, chunk);
+        }
+        let mut ra = MetricsRegistry::new();
+        let mut rb = MetricsRegistry::new();
+        per_access.flush_window();
+        batched.flush_window();
+        per_access.export_metrics(&mut ra, "cache");
+        batched.export_metrics(&mut rb, "cache");
+        assert_eq!(ra.to_json(), rb.to_json(), "metrics must match exactly");
+        assert_eq!(per_access.per_array().next().unwrap().1.accesses, 10_000);
     }
 
     #[test]
-    fn cache_as_sink() {
-        let mut c = Cache::new(CacheConfig::i860());
-        {
-            let mut sink = CacheSink(&mut c);
-            sink.access(0, false);
-            sink.access(8, false);
-        }
-        assert_eq!(c.stats().hits, 1);
+    fn hierarchy_as_sink() {
+        let mut h = Hierarchy::rs6000_with_l2();
+        TraceSink::access(&mut h, 0, false);
+        TraceSink::access_batch(&mut h, &[pack_access(8, false), pack_access(1 << 20, true)]);
+        assert_eq!(h.l1_stats().accesses, 3);
+        assert_eq!(h.l1_stats().hits, 1);
+        assert_eq!(h.l2_stats().accesses, 2, "only L1 misses probe L2");
     }
 }

@@ -14,9 +14,8 @@
 
 use crate::policy::SamplePolicy;
 use cmt_cache::{Cache, CacheConfig, CacheStats, ObservedCache};
-use cmt_interp::{Machine, SampledSink, TraceSink, BATCH_LEN};
+use cmt_interp::{simulate, SampledSink, BATCH_LEN};
 use cmt_ir::affine::Affine;
-use cmt_ir::ids::ArrayId;
 use cmt_ir::program::Program;
 use cmt_ir::visit::nest_label;
 use cmt_obs::{ObsSink, TraceArg};
@@ -294,23 +293,17 @@ pub fn profile_nest(
         _ => (BATCH_LEN as u64, 1, 0),
     };
 
-    let mut m = Machine::new(&single, &[n]).map_err(|e| err(e.to_string()))?;
     // Snapshot interval == sampling window, so the first closed snapshot
     // is exactly window 0 of the sampled stream (the sampler always
     // forwards window 0) — the cold-start correction below splits on it.
-    let mut cache = ObservedCache::new(Cache::new(opts.cache), window);
-    for (k, info) in single.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        cache.register_region(info.name(), start, bytes);
-    }
-    let mut sink = SampledSink::every_kth(cache, window, stride, seed);
+    let cache = ObservedCache::new(Cache::new(opts.cache), window);
+    let mut sink = [SampledSink::every_kth(cache, window, stride, seed)];
 
     if obs.enabled() {
         obs.trace_begin("profile.sample", &[("nest", TraceArg::Str(&label))]);
     }
-    let run = m.run(&single, &mut sink as &mut dyn TraceSink);
+    let run = simulate(&single, &[n], 0, &mut sink, None);
+    let [sink] = sink;
     if obs.enabled() {
         obs.trace_end(
             "profile.sample",
@@ -320,9 +313,9 @@ pub fn profile_nest(
             ],
         );
     }
-    run.map_err(|e| err(e.to_string()))?;
+    let run = run.map_err(|e| err(e.to_string()))?;
 
-    let seen = sink.accesses_seen();
+    let seen = run.loads + run.stores;
     let sampled = sink.sampled;
     let windows = sink.windows_total();
     let windows_sampled = sink.windows_sampled();
@@ -458,10 +451,9 @@ mod tests {
         assert_eq!(nest.accesses, 2 * 32 * 32);
         assert_eq!(nest.observed, nest.est);
         // Direct simulation of the same program agrees exactly.
-        let mut m = Machine::new(&p, &[32]).unwrap();
-        let mut c = Cache::new(CacheConfig::i860());
-        m.run(&p, &mut c).unwrap();
-        assert_eq!(nest.est, c.stats());
+        let mut c = [Cache::new(CacheConfig::i860())];
+        simulate(&p, &[32], 0, &mut c, None).unwrap();
+        assert_eq!(nest.est, c[0].stats());
         // Both arrays show up in attribution and shares sum to ~1.
         assert_eq!(nest.arrays.len(), 2);
         let share: f64 = nest.arrays.iter().map(|a| a.share).sum();

@@ -65,6 +65,27 @@ fn cold_then_cached_and_stats_counters() {
 }
 
 #[test]
+fn execution_failures_are_errors_and_never_cached() {
+    let server = Server::start(ServeConfig::default());
+    let line = r#"{"id":5,"program":"PROGRAM oob\nPARAM N\nREAL A(N)\nDO I = 1, N\n  A(I+1) = 0.0","n":8}"#;
+    for _ in 0..2 {
+        let reply = json::parse(&server.handle_line(line)).expect("valid json");
+        assert_eq!(reply.get("id").and_then(Value::as_u64), Some(5));
+        assert_eq!(field(&reply, "status"), "error");
+        assert!(
+            field(&reply, "error")
+                .contains("execution: subscript [9] out of bounds for A with extents [8]"),
+            "{reply:?}"
+        );
+    }
+    let stats = json::parse(&server.handle_line(r#"{"op":"stats"}"#)).expect("valid json");
+    let memo = stats.get("memo").expect("memo object");
+    assert_eq!(memo.get("misses").and_then(Value::as_u64), Some(2));
+    assert_eq!(memo.get("inserted").and_then(Value::as_u64), Some(0));
+    server.shutdown();
+}
+
+#[test]
 fn malformed_and_oversized_lines_get_structured_errors() {
     let server = Server::start(ServeConfig {
         workers: 1,

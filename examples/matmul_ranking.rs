@@ -6,8 +6,8 @@
 //! cargo run --release --example matmul_ranking [N]
 //! ```
 
-use cmt_locality_repro::cache::{CacheConfig, CycleModel, MultiCache};
-use cmt_locality_repro::interp::Machine;
+use cmt_locality_repro::cache::{Cache, CacheConfig, CycleModel};
+use cmt_locality_repro::interp::simulate;
 use cmt_locality_repro::locality::model::CostModel;
 use cmt_locality_repro::locality::report::realized_cost;
 use cmt_locality_repro::suite::kernels::matmul_orders;
@@ -29,11 +29,13 @@ fn main() {
     let mut results = Vec::new();
     for (name, p) in matmul_orders() {
         let cost = realized_cost(&p, p.nests()[0], &model);
-        let mut m = Machine::new(&p, &[n]).expect("allocation");
-        let mut caches = MultiCache::new(&[CacheConfig::rs6000(), CacheConfig::i860()]);
-        m.run(&p, &mut caches).expect("execution");
-        let s1 = caches.caches()[0].stats();
-        let s2 = caches.caches()[1].stats();
+        let mut caches = [
+            Cache::new(CacheConfig::rs6000()),
+            Cache::new(CacheConfig::i860()),
+        ];
+        simulate(&p, &[n], 0, &mut caches, None).expect("execution");
+        let s1 = caches[0].stats();
+        let s2 = caches[1].stats();
         println!(
             "{:<6} {:>24} {:>11.1}% {:>11.1}% {:>14}",
             name,

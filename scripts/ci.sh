@@ -128,8 +128,9 @@ cargo run --release -q -p cmt-bench --bin cmt-report -- explain_corpus --dir "$S
 grep -q '## Decisions' "$SMOKE_DIR/explain_corpus.report.md" \
   || { echo "report missing decisions section" >&2; exit 1; }
 
-echo ">>> clippy unwrap gate (bench + resilience + serve failure paths stay panic-free)"
-cargo clippy -q --no-deps -p cmt-bench -p cmt-resilience -p cmt-serve -- -D clippy::unwrap_used
+echo ">>> clippy unwrap gate (bench, resilience, serve and the interp/cache/profile simulation path stay panic-free)"
+cargo clippy -q --no-deps -p cmt-bench -p cmt-resilience -p cmt-serve \
+  -p cmt-interp -p cmt-cache -p cmt-profile -- -D clippy::unwrap_used
 
 echo ">>> chaos smoke (32 seeds, seeded fault plans, supervised rollback)"
 # Sweeps the first 32 verify-corpus seeds through the supervised

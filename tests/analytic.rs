@@ -5,7 +5,7 @@
 
 use cmt_locality_repro::analytic::{predict_program, MissModel};
 use cmt_locality_repro::bench::tables::{bench_compound, cost_oracle};
-use cmt_locality_repro::bench::{analytic_corpus, analytic_sweep, AnalyticSweepConfig};
+use cmt_locality_repro::bench::{analytic_sweep, corpus, AnalyticSweepConfig};
 use cmt_locality_repro::cache::CacheConfig;
 use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
@@ -37,7 +37,7 @@ fn small_cfg() -> AnalyticSweepConfig {
 #[test]
 fn corpus_predictions_within_tolerance_on_all_geometries() {
     let cfg = small_cfg();
-    let programs = analytic_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     let mut sink = CollectSink::new();
     let report = analytic_sweep(&programs, &cfg, &mut sink, None).unwrap();
     assert_eq!(report.geometries.len(), 3);
@@ -78,7 +78,7 @@ fn predictions_byte_identical_across_cmt_jobs() {
         n: 24,
         top_k: 3,
     };
-    let programs = analytic_corpus(&cfg);
+    let programs = corpus(cfg.seeds, cfg.kernels);
     let run = |jobs: &str| {
         std::env::set_var("CMT_JOBS", jobs);
         let mut sink = CollectSink::new();
